@@ -61,7 +61,7 @@ func RunMergedProfiled(ctx context.Context, cfgs []RunConfig) ([]*Report, map[st
 	if err != nil {
 		return nil, nil, err
 	}
-	n, err := workloads.Build(base.Workload, base.Variant, base.PaperScale, 42)
+	n, err := workloads.Shared(base.Workload, base.Variant, base.PaperScale)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,8 @@ package mmbench
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"strconv"
 
 	"mmbench/internal/precision"
@@ -14,8 +16,11 @@ import (
 // profiling is a pure function of RunConfig, so equal configs (after
 // default resolution) always return the same Report; the runner serves
 // repeats from memory and coalesces concurrent identical requests into
-// a single underlying execution. Reports handed out by a CachedRunner
-// are shared — callers must not mutate them.
+// a single underlying execution. Entries are kept as the report's
+// canonical JSON and decoded on every return, so each caller owns the
+// Report (and stage map) it gets back. Executions run on the
+// process-wide shared networks (workloads.Shared), so a miss pays no
+// network build once its workload variant has run.
 type CachedRunner struct {
 	cache *resultcache.Cache
 }
@@ -26,22 +31,43 @@ func NewCachedRunner(capacityBytes int64) *CachedRunner {
 	return &CachedRunner{cache: resultcache.New(capacityBytes)}
 }
 
-// cachedRun is a cache entry: the report plus the per-stage wall-clock
-// milliseconds measured when the entry was produced (nil for analytic
-// runs). Caching them together keeps Run and RunProfiled on one cache
-// key — profiling is a pure observer, so it never forks entries.
+// cachedRun is a cache entry: the report's canonical JSON plus the
+// per-stage wall-clock milliseconds measured when the entry was
+// produced (nil for analytic runs). Caching them together keeps Run and
+// RunProfiled on one cache key — profiling is a pure observer, so it
+// never forks entries. The JSON form is several times smaller in heap
+// than the decoded report graph and is exactly what the budget charges;
+// float64 values round-trip JSON exactly, so a decoded report equals
+// the executed one.
 type cachedRun struct {
-	rep     *Report
+	report  []byte
 	stageMs map[string]float64
+}
+
+// newCachedRun encodes one execution's result as a cache entry. The
+// error is a report JSON cannot encode (a NaN or infinite value).
+func newCachedRun(rep *Report, stageMs map[string]float64) (*cachedRun, error) {
+	b, err := json.Marshal(rep)
+	if err != nil {
+		return nil, fmt.Errorf("mmbench: encoding report for the cache: %w", err)
+	}
+	return &cachedRun{report: b, stageMs: stageMs}, nil
+}
+
+// open decodes the entry into a Report and stage map owned by the
+// caller.
+func (cv *cachedRun) open() (*Report, map[string]float64, error) {
+	rep := new(Report)
+	if err := json.Unmarshal(cv.report, rep); err != nil {
+		return nil, nil, fmt.Errorf("mmbench: decoding cached report: %w", err)
+	}
+	return rep, maps.Clone(cv.stageMs), nil
 }
 
 // Run is the cached equivalent of the package-level Run.
 func (cr *CachedRunner) Run(cfg RunConfig) (*Report, error) {
-	v, err := cr.do(nil, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return v.rep, nil
+	rep, _, err := cr.do(nil, cfg, nil)
+	return rep, err
 }
 
 // RunCtx is Run under a cancellable context. A cancelled execution
@@ -49,11 +75,8 @@ func (cr *CachedRunner) Run(cfg RunConfig) (*Report, error) {
 // cancelled request, and concurrent requests coalesced onto it retry
 // with their own context instead of inheriting the error.
 func (cr *CachedRunner) RunCtx(ctx context.Context, cfg RunConfig) (*Report, error) {
-	v, err := cr.do(ctx, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return v.rep, nil
+	rep, _, err := cr.do(ctx, cfg, nil)
+	return rep, err
 }
 
 // RunProfiled is the cached equivalent of the package-level
@@ -61,21 +84,13 @@ func (cr *CachedRunner) RunCtx(ctx context.Context, cfg RunConfig) (*Report, err
 // entry was executed; only real executions observe into the
 // process-wide stage histograms, so hits never skew the distributions.
 func (cr *CachedRunner) RunProfiled(cfg RunConfig) (*Report, map[string]float64, error) {
-	v, err := cr.do(nil, cfg, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.rep, v.stageMs, nil
+	return cr.do(nil, cfg, nil)
 }
 
 // RunProfiledCtx is RunProfiled under a cancellable context (see
 // RunCtx).
 func (cr *CachedRunner) RunProfiledCtx(ctx context.Context, cfg RunConfig) (*Report, map[string]float64, error) {
-	v, err := cr.do(ctx, cfg, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.rep, v.stageMs, nil
+	return cr.do(ctx, cfg, nil)
 }
 
 // ComputeFn is one real (cache-missing) profile execution, run under
@@ -92,11 +107,7 @@ type ComputeFn func(ctx context.Context) (any, error)
 // result unchanged or an error; errors (including shed admissions) are
 // never cached and never shared with coalesced waiters.
 func (cr *CachedRunner) RunProfiledCtxVia(ctx context.Context, cfg RunConfig, via func(compute ComputeFn) (any, error)) (*Report, map[string]float64, error) {
-	v, err := cr.do(ctx, cfg, via)
-	if err != nil {
-		return nil, nil, err
-	}
-	return v.rep, v.stageMs, nil
+	return cr.do(ctx, cfg, via)
 }
 
 // ExecFn replaces the underlying computation of one cache-missing run:
@@ -114,22 +125,16 @@ type ExecFn func(ctx context.Context, cfg RunConfig) (*Report, map[string]float6
 // the cache ABOVE the batcher, and distinct-but-compatible configs merge
 // in the batcher BELOW it. Errors are never cached.
 func (cr *CachedRunner) RunProfiledCtxThrough(ctx context.Context, cfg RunConfig, exec ExecFn) (*Report, map[string]float64, error) {
-	v, err := cr.cache.Do(cfg.cacheKey(), func() (any, int64, error) {
+	return cr.lookup(cfg, func() (any, error) {
 		rep, stageMs, err := exec(ctx, cfg)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		cv := &cachedRun{rep: rep, stageMs: stageMs}
-		return cv, reportBytes(rep), nil
+		return newCachedRun(rep, stageMs)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	cv := v.(*cachedRun)
-	return cv.rep, cv.stageMs, nil
 }
 
-func (cr *CachedRunner) do(ctx context.Context, cfg RunConfig, via func(ComputeFn) (any, error)) (*cachedRun, error) {
+func (cr *CachedRunner) do(ctx context.Context, cfg RunConfig, via func(ComputeFn) (any, error)) (*Report, map[string]float64, error) {
 	compute := func(cctx context.Context) (any, error) {
 		// Eager executions are profiled unconditionally (the profiler is
 		// a pure observer), so every real run — sweeps included — feeds
@@ -138,40 +143,36 @@ func (cr *CachedRunner) do(ctx context.Context, cfg RunConfig, via func(ComputeF
 		if err != nil {
 			return nil, err
 		}
-		return &cachedRun{rep: rep, stageMs: stageMs}, nil
+		return newCachedRun(rep, stageMs)
 	}
-	v, err := cr.cache.Do(cfg.cacheKey(), func() (any, int64, error) {
-		var v any
-		var err error
+	return cr.lookup(cfg, func() (any, error) {
 		if via != nil {
-			v, err = via(compute)
-		} else {
-			v, err = compute(ctx)
+			return via(compute)
 		}
+		return compute(ctx)
+	})
+}
+
+// lookup serves cfg from the cache, running miss on a cache miss; miss
+// returns a *cachedRun. Every caller — hit, coalesced or leader —
+// decodes its own Report from the entry.
+func (cr *CachedRunner) lookup(cfg RunConfig, miss func() (any, error)) (*Report, map[string]float64, error) {
+	v, err := cr.cache.Do(cfg.cacheKey(), func() (any, int64, error) {
+		v, err := miss()
 		if err != nil {
 			return nil, 0, err
 		}
-		return v, reportBytes(v.(*cachedRun).rep), nil
+		return v, int64(len(v.(*cachedRun).report)), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return v.(*cachedRun), nil
+	return v.(*cachedRun).open()
 }
 
 // Stats snapshots the cache counters (hits, misses, executions,
 // coalesced requests, evictions, resident bytes).
 func (cr *CachedRunner) Stats() resultcache.Stats { return cr.cache.Stats() }
-
-// reportBytes estimates a report's resident size for the cache budget
-// by its JSON encoding — close enough for an LRU byte budget.
-func reportBytes(r *Report) int64 {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return 1 << 10
-	}
-	return int64(len(b))
-}
 
 // cacheKey canonicalizes the config: defaults are resolved first so
 // that, e.g., an empty Device and an explicit "2080ti" share one cache
@@ -248,8 +249,8 @@ func (cfg RunConfig) canonicalFields(includeSeed bool) map[string]string {
 var defaultRunner = NewCachedRunner(64 << 20)
 
 // RunCached profiles through a shared process-wide cache: repeated or
-// concurrent identical configs cost one execution. The returned Report
-// is shared and must not be mutated; use Run for a private copy.
+// concurrent identical configs cost one execution. Each call returns
+// its own Report.
 func RunCached(cfg RunConfig) (*Report, error) { return defaultRunner.Run(cfg) }
 
 // RunCacheStats snapshots the shared cache's counters.

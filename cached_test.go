@@ -1,6 +1,8 @@
 package mmbench
 
 import (
+	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -155,5 +157,58 @@ func TestCachedRunnerErrorsPropagate(t *testing.T) {
 	s := cr.Stats()
 	if s.Entries != 0 {
 		t.Fatalf("error cached: %+v", s)
+	}
+}
+
+// Cache entries are the report's canonical JSON: the budget charges
+// exactly its length, every return decodes a Report (and stage map) the
+// caller owns, and the decoded report equals a direct Run's.
+func TestCachedRunnerReturnsPrivateReports(t *testing.T) {
+	for _, cfg := range []RunConfig{
+		{Workload: "avmnist", PaperScale: true, BatchSize: 8},
+		{Workload: "avmnist", PaperScale: true, BatchSize: 2, Eager: true, Seed: 4, Precision: "i8"},
+	} {
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr := NewCachedRunner(16 << 20)
+		a, stageA, err := cr.RunProfiled(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := cr.Stats(); s.Bytes != int64(len(wantJSON)) {
+			t.Fatalf("entry charged %d bytes, want the report's %d JSON bytes", s.Bytes, len(wantJSON))
+		}
+		a.ModalitySeconds["poisoned"] = 1
+		a.Stages[0].Seconds = -1
+		for stage := range stageA {
+			stageA[stage] = -1
+		}
+		b, stageB, err := cr.RunProfiled(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := cr.Stats(); s.Executions != 1 || s.Hits != 1 {
+			t.Fatalf("stats %+v, want one execution then one hit", s)
+		}
+		if a == b {
+			t.Fatal("two calls share one Report")
+		}
+		if !reflect.DeepEqual(b, want) {
+			t.Fatalf("cached report differs from direct Run:\n got %+v\nwant %+v", b, want)
+		}
+		for stage, ms := range stageB {
+			if ms < 0 {
+				t.Fatalf("stage %s: a caller's write reached the cache entry", stage)
+			}
+		}
+		if cfg.Eager != (len(stageB) > 0) {
+			t.Fatalf("eager=%v run returned stage map %v", cfg.Eager, stageB)
+		}
 	}
 }

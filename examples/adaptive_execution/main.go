@@ -22,11 +22,11 @@ func main() {
 	fmt.Println("confidence-gated escalation to the multi-modal network.")
 	fmt.Println()
 
-	full, err := workloads.Build("avmnist", "concat", false, 42)
+	full, err := workloads.Build("avmnist", "concat", false, workloads.WeightSeed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	major, err := workloads.Build("avmnist", "uni:image", false, 42)
+	major, err := workloads.Build("avmnist", "uni:image", false, workloads.WeightSeed)
 	if err != nil {
 		log.Fatal(err)
 	}

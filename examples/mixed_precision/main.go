@@ -38,7 +38,7 @@ var policies = []string{
 
 func main() {
 	// 1. Train the small AV-MNIST variant once, in f32 (master weights).
-	n, err := workloads.Build("avmnist", "concat", false, 42)
+	n, err := workloads.Build("avmnist", "concat", false, workloads.WeightSeed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func Fig4(cfg ExpConfig) ([]*report.Table, error) {
 		}
 		wcfg := tuneConfig(info.Task, tcfg)
 		for _, variant := range fig4Variants(info, cfg.Quick) {
-			n, err := workloads.Build(name, variant, false, 42)
+			n, err := workloads.Build(name, variant, false, workloads.WeightSeed)
 			if err != nil {
 				return nil, err
 			}
@@ -206,15 +206,15 @@ func Fig5(cfg ExpConfig) ([]*report.Table, error) {
 				break
 			}
 		}
-		major, err := workloads.Build(name, "uni:"+info.Major, false, 42)
+		major, err := workloads.Build(name, "uni:"+info.Major, false, workloads.WeightSeed)
 		if err != nil {
 			return nil, err
 		}
-		minorNet, err := workloads.Build(name, "uni:"+minor, false, 42)
+		minorNet, err := workloads.Build(name, "uni:"+minor, false, workloads.WeightSeed)
 		if err != nil {
 			return nil, err
 		}
-		multi, err := workloads.Build(name, info.Fusions[0], false, 42)
+		multi, err := workloads.Build(name, info.Fusions[0], false, workloads.WeightSeed)
 		if err != nil {
 			return nil, err
 		}

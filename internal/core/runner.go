@@ -80,6 +80,9 @@ func (o *RunOptions) defaults() {
 
 // RunResult is the outcome of one profiled inference.
 type RunResult struct {
+	// Network is the network the run executed. Runs through BuildAndRun
+	// hand out the process-wide shared instance (workloads.Shared), so
+	// it is read-only: never train or otherwise write it.
 	Network *mmnet.Network
 	Trace   *trace.Trace
 	Memory  memprof.Profile
@@ -255,10 +258,10 @@ func outputError(got, ref *ops.Var) (errMax, errMean float64) {
 	return errMax, sum / float64(len(gd))
 }
 
-// BuildAndRun is a convenience wrapper: build a workload variant and
-// profile it.
+// BuildAndRun is a convenience wrapper: fetch a workload variant from
+// the process-wide network cache (workloads.Shared) and profile it.
 func BuildAndRun(workload, variant string, profile bool, opts RunOptions) (*RunResult, error) {
-	n, err := workloads.Build(workload, variant, profile, 42)
+	n, err := workloads.Shared(workload, variant, profile)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,8 @@ import (
 	"mmbench/internal/mmnet"
 	"mmbench/internal/obs"
 	"mmbench/internal/ops"
+	"mmbench/internal/resultcache"
+	"mmbench/internal/workloads"
 )
 
 // Prometheus text exposition (format version 0.0.4), written by hand —
@@ -24,6 +26,7 @@ import (
 //
 //	mmbench_requests_total, mmbench_encode_errors_total
 //	mmbench_cache_*            result-cache counters
+//	mmbench_network_cache_*    shared-network cache counters (workloads.Shared)
 //	mmbench_batch_*            continuous cross-request batching counters
 //	mmbench_jobs               scheduler job counts by state
 //	mmbench_queue_depth        jobs waiting for a worker
@@ -50,13 +53,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.counter("mmbench_encode_errors_total", "Response bodies that failed to encode.", float64(s.encodeErrors.Load()))
 	m.gauge("mmbench_uptime_seconds", "Seconds since server start.", time.Since(s.start).Seconds())
 
-	cs := s.runner.Stats()
-	m.counter("mmbench_cache_hits_total", "Result-cache hits.", float64(cs.Hits))
-	m.counter("mmbench_cache_misses_total", "Result-cache misses.", float64(cs.Misses))
-	m.counter("mmbench_cache_executions_total", "Underlying executions the cache ran.", float64(cs.Executions))
-	m.counter("mmbench_cache_coalesced_total", "Requests coalesced into an in-flight execution.", float64(cs.Coalesced))
-	m.counter("mmbench_cache_evictions_total", "Cache entries evicted.", float64(cs.Evictions))
-	m.gauge("mmbench_cache_resident_bytes", "Bytes of cached reports resident.", float64(cs.Bytes))
+	m.cache("mmbench_cache", "result cache", "report executions", s.runner.Stats())
+	m.cache("mmbench_network_cache", "network cache", "network builds", workloads.SharedStats())
 
 	if s.batcher != nil {
 		bst := s.batcher.Stats()
@@ -200,6 +198,17 @@ func (m *metricsWriter) counter(name, help string, v float64) {
 func (m *metricsWriter) gauge(name, help string, v float64) {
 	m.head(name, help, "gauge")
 	m.printf("%s %s\n", name, fmtFloat(v))
+}
+
+// cache renders one resultcache.Stats snapshot as the prefix_* family;
+// /v1/stats reports the same fields (see CacheStats).
+func (m *metricsWriter) cache(prefix, name, executions string, st resultcache.Stats) {
+	m.counter(prefix+"_hits_total", "Lookups the "+name+" served without work.", float64(st.Hits))
+	m.counter(prefix+"_misses_total", "Lookups that ran or joined a computation in the "+name+".", float64(st.Misses))
+	m.counter(prefix+"_executions_total", "Computations ("+executions+") the "+name+" ran.", float64(st.Executions))
+	m.counter(prefix+"_coalesced_total", "Misses coalesced into an in-flight computation in the "+name+".", float64(st.Coalesced))
+	m.counter(prefix+"_evictions_total", "Entries the "+name+" evicted under its byte budget.", float64(st.Evictions))
+	m.gauge(prefix+"_resident_bytes", "Bytes the "+name+" charges for its resident entries.", float64(st.Bytes))
 }
 
 func (m *metricsWriter) labeled(name, labels string, v float64) {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -228,5 +229,70 @@ func TestPprofGatedByOption(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "goroutine") {
 		t.Error("pprof index does not list profiles")
+	}
+}
+
+// metricValues parses the unlabelled samples of a /metrics body.
+func metricValues(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) != 2 || strings.HasPrefix(line, "#") || strings.Contains(fields[0], "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(fields[1], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		vals[fields[0]] = v
+	}
+	return vals
+}
+
+// The networks block of /v1/stats and the mmbench_network_cache_*
+// families of /metrics report the same counters.
+func TestNetworkCacheStatsMatchMetrics(t *testing.T) {
+	_, ts := newTestServer(t)
+	// Two distinct eager configs of one workload: the second reuses the
+	// network the first built.
+	for _, seed := range []int{1, 2} {
+		resp := postJSON(t, ts.URL+"/v1/run",
+			`{"workload":"avmnist","batch":2,"eager":true,"seed":`+strconv.Itoa(seed)+`}`, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run status %d", resp.StatusCode)
+		}
+	}
+	var stats Stats
+	getJSON(t, ts.URL+"/v1/stats", &stats)
+	metrics := metricValues(t, ts.URL+"/metrics")
+
+	nw := stats.Networks
+	if nw.Executions < 1 || nw.Hits < 1 || nw.Bytes <= 0 || nw.Entries < 1 {
+		t.Fatalf("networks block shows no shared-network use after two runs: %+v", nw)
+	}
+	for name, want := range map[string]float64{
+		"mmbench_network_cache_hits_total":       float64(nw.Hits),
+		"mmbench_network_cache_misses_total":     float64(nw.Misses),
+		"mmbench_network_cache_executions_total": float64(nw.Executions),
+		"mmbench_network_cache_coalesced_total":  float64(nw.Coalesced),
+		"mmbench_network_cache_evictions_total":  float64(nw.Evictions),
+		"mmbench_network_cache_resident_bytes":   float64(nw.Bytes),
+	} {
+		got, ok := metrics[name]
+		if !ok {
+			t.Errorf("/metrics missing %s", name)
+		} else if got != want {
+			t.Errorf("%s = %v in /metrics, %v in /v1/stats", name, got, want)
+		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"mmbench/internal/ops"
 	"mmbench/internal/precision"
 	"mmbench/internal/resultcache"
+	"mmbench/internal/workloads"
 )
 
 // Options configure the server.
@@ -553,6 +554,10 @@ type Stats struct {
 	// ran; empty until the first eager run.
 	StageLatency map[string]obs.Summary `json:"stage_latency_ms,omitempty"`
 	Cache        CacheStats             `json:"cache"`
+	// Networks reports the process-wide shared-network cache
+	// (workloads.Shared): hits, misses, network builds (executions),
+	// evictions and resident parameter bytes.
+	Networks CacheStats `json:"networks"`
 	// Batching reports the continuous cross-request batcher: merged-
 	// batch histogram, coalesce ratio, queue depth, and the per-stage
 	// latency percentiles observed under merged load.
@@ -626,6 +631,10 @@ func (s *Server) batchingStats(stageLat map[string]obs.Summary) BatchingStats {
 type CacheStats struct {
 	resultcache.Stats
 	HitRate float64 `json:"hit_rate"`
+}
+
+func cacheStats(st resultcache.Stats) CacheStats {
+	return CacheStats{Stats: st, HitRate: st.HitRate()}
 }
 
 // EngineStats extends the compute-engine counters (eager-kernel tasks
@@ -713,7 +722,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	wait := s.pool.QueueWait()
-	cs := s.runner.Stats()
 	es := engine.TotalStats()
 	packs := gemm.PackStats()
 	counts := s.pool.Counts()
@@ -733,7 +741,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Depth:  s.pool.QueueDepth(),
 			WaitMs: wait.SummaryMs(),
 		},
-		Cache:    CacheStats{Stats: cs, HitRate: cs.HitRate()},
+		Cache:    cacheStats(s.runner.Stats()),
+		Networks: cacheStats(workloads.SharedStats()),
 		Batching: s.batchingStats(stageLat),
 		Engine: EngineStats{
 			Stats:       es,

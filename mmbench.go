@@ -378,7 +378,9 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 	if cfg.Variant == "" {
 		cfg.Variant = info.Fusions[0]
 	}
-	n, err := workloads.Build(cfg.Workload, cfg.Variant, false, 42)
+	// Training writes weights, so it builds a private copy rather than
+	// sharing the inference paths' cached network.
+	n, err := workloads.Build(cfg.Workload, cfg.Variant, false, workloads.WeightSeed)
 	if err != nil {
 		return nil, err
 	}
